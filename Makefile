@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test vet race check bench churn-drill report-drill stream-drill fleet-drill adapt-drill
+.PHONY: build test vet race check bench churn-drill report-drill stream-drill fleet-drill adapt-drill perfbench-check
 
 build:
 	$(GO) build ./...
@@ -91,9 +91,18 @@ adapt-drill:
 	$(GO) test -race -count=1 -run 'TestPool|TestElastic|TestRetire|TestControls' ./internal/pipeline/...
 	@echo "adapt-drill: byte-identical convergence runs + elastic storm clean under -race"
 
+# Perfbench: the end-to-end benchmark is its own module (perfbench/go.mod,
+# replacing numastream with this checkout), so `go build ./...` above
+# never compiles it. Vet and test it here against the current API, with
+# the same offline module settings perfbench/run.sh uses.
+PERFBENCH_ENV = GOTOOLCHAIN=local GOWORK=off GOPROXY=off GOFLAGS=-mod=readonly
+perfbench-check:
+	cd perfbench && $(PERFBENCH_ENV) $(GO) vet ./...
+	cd perfbench && $(PERFBENCH_ENV) $(GO) test ./...
+
 # The single CI entry point: build, vet, tests, race pass, churn drill,
-# report drill, stream drill, fleet drill, adapt drill.
-check: build vet test race churn-drill report-drill stream-drill fleet-drill adapt-drill
+# report drill, stream drill, fleet drill, adapt drill, perfbench.
+check: build vet test race churn-drill report-drill stream-drill fleet-drill adapt-drill perfbench-check
 
 # Human-readable benchmark run over the root suite (the paper figures,
 # the loopback pipeline, queues, LZ4).

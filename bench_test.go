@@ -282,11 +282,12 @@ func BenchmarkLoopbackPipeline(b *testing.B)       { benchLoopback(b, false) }
 func BenchmarkLoopbackPipelineNoPool(b *testing.B) { benchLoopback(b, true) }
 
 // BenchmarkGatewayFanIn measures multi-sender fan-in at the gateway:
-// eight concurrent senders through the legacy single pull queue versus
-// the sharded receive path. The sharded variant removes head-of-line
-// blocking between streams (the thousand-stream gateway's core claim);
-// with healthy homogeneous senders the two should be comparable —
-// sharding must not tax the fan-in it exists to protect.
+// eight concurrent senders into the receiver with its default single
+// shard ("single", Shards 0) versus four shards ("sharded"). More
+// shards remove head-of-line blocking between streams' receive queues
+// (the thousand-stream gateway's core claim); with healthy homogeneous
+// senders the two should be comparable — sharding must not tax the
+// fan-in it exists to protect.
 func BenchmarkGatewayFanIn(b *testing.B) {
 	b.Run("single", func(b *testing.B) { benchFanIn(b, 0) })
 	b.Run("sharded", func(b *testing.B) { benchFanIn(b, 4) })

@@ -75,9 +75,9 @@ func main() {
 		exactlyOnce  = flag.Bool("exactly-once", false, "receiver: dedup repeated (stream, seq) chunks with the exactly-once ledger; dup_drops and ledger_abandoned land in -telemetry-addr's /metrics")
 
 		// Thousand-stream gateway (receiver scale).
-		shardsFlag   = flag.Int("shards", 0, "receiver: sharded receive queues — 0 = legacy single pull queue, -1 = one shard per NUMA domain, >0 explicit shard count")
-		maxStreams   = flag.Int("max-streams", 0, "receiver: admission cap on concurrent streams; streams past it are rejected and counted in streams_rejected (0 = unlimited; needs -shards)")
-		streamCredit = flag.Int("stream-credit", 0, "receiver: per-stream credit window bounding one stream's in-flight chunks; a stalled consumer blocks only its own stream (default 8; needs -shards)")
+		shardsFlag   = flag.Int("shards", 0, "receiver: receive shards, keyed by stream hash — 0 = one shard, -1 = one shard per NUMA domain, >0 explicit shard count")
+		maxStreams   = flag.Int("max-streams", 0, "receiver: admission cap on concurrent streams; streams past it are rejected and counted in streams_rejected (0 = unlimited)")
+		streamCredit = flag.Int("stream-credit", 0, "receiver: per-stream credit window bounding one stream's in-flight chunks; a stalled consumer blocks only its own stream (default 8)")
 		streamCap    = flag.Int("stream-cap", 0, "per-stream metrics series cap: distinct stream ids tracked before folding into the _stream_other bucket (default 64)")
 
 		// Fault injection (sender transport; for drills and tests).

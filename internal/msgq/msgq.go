@@ -809,7 +809,8 @@ type Pull struct {
 	poolDomain int
 
 	// shards, set through SetDispatch, switches the read loops from the
-	// shared inbox to per-shard rings (see shard.go).
+	// shared inbox to per-shard rings (see shard.go). Guarded by mu; each
+	// read loop snapshots it, so the frame path takes no lock.
 	shards *shardedInbox
 }
 
@@ -977,20 +978,24 @@ func (p *Pull) readLoop(conn net.Conn) {
 			// a dispatch that blocks (a stream out of credit) stalls only
 			// this peer's connection, which is exactly the per-stream
 			// backpressure the gateway wants TCP to propagate.
-			idx, ok := shards.dispatch(&d)
-			if !ok {
-				frame.Release() // rejected (admission) or gate closed
-				continue
-			}
-			if err := shards.put(idx, d); err != nil {
-				frame.Release()
+			if shards.route(d) != nil {
 				return
 			}
 			continue
 		}
 		if err := p.inbox.Put(d); err != nil {
-			frame.Release() // socket closed; don't strand the leases
-			return
+			// The inbox closes on teardown, and also when SetDispatch
+			// moves this connection (accepted before it) onto the shards.
+			p.mu.Lock()
+			shards = p.shards
+			p.mu.Unlock()
+			if shards == nil {
+				frame.Release() // socket closed; don't strand the leases
+				return
+			}
+			if shards.route(d) != nil {
+				return
+			}
 		}
 	}
 }

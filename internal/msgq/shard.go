@@ -154,6 +154,22 @@ func (si *shardedInbox) popLocked(shard int) Delivery {
 	return d
 }
 
+// route classifies d with the dispatch function and queues it on its
+// shard, releasing its frame when dispatch drops it. It fails only once
+// the inbox is closed (the frame released too).
+func (si *shardedInbox) route(d Delivery) error {
+	shard, ok := si.dispatch(&d)
+	if !ok {
+		d.Frame.Release() // rejected (admission) or gate closed
+		return nil
+	}
+	if err := si.put(shard, d); err != nil {
+		d.Frame.Release()
+		return err
+	}
+	return nil
+}
+
 func (si *shardedInbox) depth(shard int) int {
 	si.mu.Lock()
 	defer si.mu.Unlock()
@@ -173,11 +189,12 @@ func (si *shardedInbox) close() {
 
 // SetDispatch switches this Pull to sharded receive: every frame is
 // classified by fn on its connection's read goroutine and lands on the
-// returned shard's ring (capPerShard deep; <= 0 means 64). Call it
-// right after construction, like SetBufferPool: connections accepted
-// earlier keep feeding the shared inbox. With dispatch set, consume
-// with RecvSharded — RecvDelivery only sees frames from pre-dispatch
-// connections. shards must be >= 1 or SetDispatch panics.
+// returned shard's ring (capPerShard deep; <= 0 means 64). Connections
+// accepted before the call switch over too: SetDispatch closes the
+// shared inbox, which sends their read loops to the shards at their
+// next frame, and frames already queued there are dispatched in turn.
+// From then on consume with RecvSharded; RecvDelivery reports
+// ErrClosed. shards must be >= 1 or SetDispatch panics.
 func (p *Pull) SetDispatch(shards, capPerShard int, fn DispatchFunc) {
 	if shards < 1 {
 		panic("msgq: SetDispatch needs >= 1 shard")
@@ -188,9 +205,25 @@ func (p *Pull) SetDispatch(shards, capPerShard int, fn DispatchFunc) {
 	if capPerShard <= 0 {
 		capPerShard = 64
 	}
+	si := newShardedInbox(shards, capPerShard, fn)
 	p.mu.Lock()
-	p.shards = newShardedInbox(shards, capPerShard, fn)
+	p.shards = si
+	if p.closed {
+		p.mu.Unlock()
+		return
+	}
+	p.wg.Add(1)
 	p.mu.Unlock()
+	p.inbox.Close()
+	go func() {
+		defer p.wg.Done()
+		for {
+			d, err := p.inbox.Get()
+			if err != nil || si.route(d) != nil {
+				return
+			}
+		}
+	}()
 }
 
 // RecvSharded returns the next message from the sharded inbox, drained

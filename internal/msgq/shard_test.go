@@ -183,3 +183,60 @@ func TestPullShardedDispatch(t *testing.T) {
 		t.Fatalf("received %d messages, want %d", got, msgs+1)
 	}
 }
+
+// TestPullDispatchAfterConnect: a connection accepted (and handshaken)
+// before SetDispatch must not be stranded on the shared inbox, which
+// RecvSharded never reads. A frame already queued there before the call
+// and a frame sent after it both reach RecvSharded.
+func TestPullDispatchAfterConnect(t *testing.T) {
+	pull, err := NewPull("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pull.Close()
+	push := NewPush()
+	defer push.Close()
+	push.Connect(pull.Addr().String())
+	if err := push.WaitLiveTimeout(1, 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if err := push.Send(Message{[]byte{0}, []byte("queued-before")}); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for pull.inbox.Len() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("first frame never reached the shared inbox")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	pull.SetDispatch(2, 4, func(d *Delivery) (int, bool) { return int(d.Msg[0][0]) % 2, true })
+	if err := push.Send(Message{[]byte{1}, []byte("sent-after")}); err != nil {
+		t.Fatal(err)
+	}
+
+	got := make(chan string, 2)
+	go func() {
+		cur := NewShardCursor(0)
+		for {
+			d, err := pull.RecvSharded(cur)
+			if err != nil {
+				return
+			}
+			got <- string(d.Msg[1])
+		}
+	}()
+	seen := map[string]bool{}
+	for len(seen) < 2 {
+		select {
+		case m := <-got:
+			seen[m] = true
+		case <-time.After(5 * time.Second):
+			t.Fatalf("RecvSharded got %v, want both frames", seen)
+		}
+	}
+	if !seen["queued-before"] || !seen["sent-after"] {
+		t.Fatalf("RecvSharded got %v", seen)
+	}
+}

@@ -3,6 +3,7 @@ package pipeline
 import (
 	gort "runtime"
 	"runtime/debug"
+	"sort"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -116,6 +117,8 @@ func TestSteadyStateZeroChunkAllocs(t *testing.T) {
 		shortRun  = 24
 		longRun   = 96
 		deltaRuns = longRun - shortRun
+		// slopePairs short/long pairs are measured; the median counts.
+		slopePairs = 5
 	)
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 
@@ -155,13 +158,23 @@ func TestSteadyStateZeroChunkAllocs(t *testing.T) {
 	// and every lazily-built structure on both sides.
 	allocLoopback(t, reg, ctl, pool, false, shortRun, size)
 
-	pooledShort := allocLoopback(t, reg, ctl, pool, false, shortRun, size)
-	pooledLong := allocLoopback(t, reg, ctl, pool, false, longRun, size)
-	pooledSlope := int64(pooledLong) - int64(pooledShort)
-	perChunk := pooledSlope / deltaRuns
-
-	t.Logf("pooled: short=%d B, long=%d B, slope=%d B over %d chunks (%d B/chunk)",
-		pooledShort, pooledLong, pooledSlope, deltaRuns, perChunk)
+	// The pool grows whenever a run reaches a new peak of in-flight
+	// leases, and that growth (a few 512 KiB buffers) lands on whichever
+	// run hits the peak — enough to tip one short/long pair by tens of
+	// KB per chunk either way. The median slope of several pairs is
+	// robust to it; a real per-chunk allocation shifts every pair.
+	slopes := make([]int64, slopePairs)
+	for i := range slopes {
+		pooledShort := allocLoopback(t, reg, ctl, pool, false, shortRun, size)
+		pooledLong := allocLoopback(t, reg, ctl, pool, false, longRun, size)
+		pooledSlope := int64(pooledLong) - int64(pooledShort)
+		slopes[i] = pooledSlope / deltaRuns
+		t.Logf("pooled pair %d: short=%d B, long=%d B, slope=%d B over %d chunks (%d B/chunk)",
+			i, pooledShort, pooledLong, pooledSlope, deltaRuns, slopes[i])
+	}
+	sort.Slice(slopes, func(i, j int) bool { return slopes[i] < slopes[j] })
+	perChunk := slopes[slopePairs/2]
+	t.Logf("pooled: median %d B/chunk", perChunk)
 
 	// The zero-allocation assertion. A single stage allocating its
 	// buffer per chunk would show ≥ size/2 here; tolerate small fixed

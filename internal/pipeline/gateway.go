@@ -1,24 +1,17 @@
 package pipeline
 
 import (
-	"fmt"
-	"hash/crc32"
 	"sync"
-	"sync/atomic"
-	"time"
 
-	"numastream/internal/lz4"
 	"numastream/internal/metrics"
 	"numastream/internal/msgq"
 	"numastream/internal/queue"
-	"numastream/internal/runtime"
-	"numastream/internal/trace"
 )
 
-// The sharded gateway receive path (ReceiverOptions.Shards != 0): the
-// thousand-stream scaling of the single pull fan-in. Three mechanisms
-// replace the shared inbox + global sink lock, each sized so one
-// misbehaving stream cannot touch the others:
+// The receiver's gateway mechanisms (RunReceiver): the thousand-stream
+// scaling of the pull fan-in. Three mechanisms stand between the
+// transport and the Sink, each sized so one misbehaving stream cannot
+// touch the others:
 //
 //   - per-shard receive queues: a dispatch hook on the transport's read
 //     goroutines peeks each frame's 21-byte header and routes
@@ -37,9 +30,9 @@ import (
 //     throttles only itself, never the shared shard queues.
 //
 // Delivery runs on per-stream lanes: one goroutine per admitted stream
-// owns its ledger admission, Sink call and sequence accounting, so the
-// legacy path's global sink mutex — a thousand-way contention point —
-// does not exist here, and a Sink that stalls parks exactly one lane.
+// owns its ledger admission, Sink call and sequence accounting, so there
+// is no global sink lock — a thousand-way contention point — and a Sink
+// that stalls parks exactly one lane.
 
 // Gateway counters and gauges recorded in ReceiverOptions.Metrics.
 const (
@@ -63,12 +56,12 @@ const (
 // host's NUMA topology: one shard per domain, minimum 2.
 const ShardsAuto = -1
 
-// DefaultStreamCredit is the per-stream in-flight chunk window of the
-// sharded gateway.
+// DefaultStreamCredit is the receiver's per-stream in-flight chunk
+// window.
 const DefaultStreamCredit = 8
 
-// DefaultShardQueueCap is the per-shard ring depth.
-const DefaultShardQueueCap = 64
+// shardQueueCap is the per-shard ring depth.
+const shardQueueCap = 64
 
 // ShardHash maps a stream id onto one of n shards. splitmix-style
 // avalanche so adjacent stream ids spread instead of clustering.
@@ -278,17 +271,66 @@ func (ls *laneSet) closeAll() {
 	ls.wg.Wait()
 }
 
-// streams returns how many lanes exist.
-func (ls *laneSet) streams() int {
-	ls.mu.Lock()
-	defer ls.mu.Unlock()
-	return len(ls.lanes)
+// seqSpan is how far a stream may run ahead of a missing sequence
+// number before the number counts as a gap (a multiple of 64).
+const seqSpan = 1024
+
+// seqWindow is one stream's sequence accounting, owned by its delivery
+// lane. Chunks of one stream reach the lane out of order whenever
+// several workers decompress it, or when a reconnecting sender's new
+// connection overtakes the backlog of its old one, so a jump past the
+// next expected number is not yet a loss: the number counts as a gap
+// only once the stream has moved seqSpan past it, or at the end.
+type seqWindow struct {
+	base uint64               // every seq below base was delivered or counted
+	hw   uint64               // one past the highest seq delivered
+	seen [seqSpan / 64]uint64 // ring bitset over [base, base+seqSpan)
+}
+
+// deliver records one delivered seq. It returns the gaps this confirms
+// and whether seq arrived below the high-water mark (reordered or
+// repeated).
+func (w *seqWindow) deliver(seq uint64) (gaps int64, late bool) {
+	late = seq < w.hw
+	w.hw = max(w.hw, seq+1)
+	if seq < w.base {
+		return 0, late // already counted as a gap
+	}
+	if seq >= w.base+seqSpan {
+		gaps = w.slide(seq - seqSpan + 1)
+	}
+	w.seen[seq%seqSpan/64] |= 1 << (seq % 64)
+	for w.seen[w.base%seqSpan/64]&(1<<(w.base%64)) != 0 {
+		w.seen[w.base%seqSpan/64] &^= 1 << (w.base % 64)
+		w.base++
+	}
+	return gaps, late
+}
+
+// slide moves base up to to and returns how many seqs it passed that
+// were never delivered.
+func (w *seqWindow) slide(to uint64) (gaps int64) {
+	for end := min(to, w.base+seqSpan); w.base < end; w.base++ {
+		word, bit := &w.seen[w.base%seqSpan/64], uint64(1)<<(w.base%64)
+		if *word&bit == 0 {
+			gaps++
+		}
+		*word &^= bit
+	}
+	if to > w.base {
+		gaps += int64(to - w.base) // beyond the window: never seen
+		w.base = to
+	}
+	return gaps
 }
 
 // resolveShards turns the option value into a concrete shard count.
 func resolveShards(opts ReceiverOptions) int {
-	if opts.Shards > 0 {
+	switch {
+	case opts.Shards > 0:
 		return opts.Shards
+	case opts.Shards == 0:
+		return 1
 	}
 	// ShardsAuto: NUMA-domain-aligned, minimum 2 so single-domain test
 	// hosts still exercise the multi-shard path.
@@ -297,413 +339,4 @@ func resolveShards(opts ReceiverOptions) int {
 		n = 2
 	}
 	return n
-}
-
-// runShardedReceiver is RunReceiver's sharded twin: same contract, same
-// options, plus the shard/admission/credit mechanisms above. Kept as a
-// separate implementation so the legacy single-inbox path stays
-// byte-for-byte untouched for existing deployments.
-func runShardedReceiver(opts ReceiverOptions) error {
-	if err := opts.Cfg.Validate(len(opts.Topo.Nodes)); err != nil {
-		return err
-	}
-	if opts.Cfg.Role != runtime.Receiver {
-		return fmt.Errorf("pipeline: RunReceiver with role %q", opts.Cfg.Role)
-	}
-	if opts.Expect <= 0 && opts.Stop == nil {
-		return fmt.Errorf("pipeline: receiver needs a positive Expect count or a Stop channel")
-	}
-	if opts.QueueCap <= 0 {
-		opts.QueueCap = 16
-	}
-	if opts.Metrics == nil {
-		opts.Metrics = metrics.NewRegistry()
-	}
-	shards := resolveShards(opts)
-	credit := opts.StreamCredit
-	if credit <= 0 {
-		credit = DefaultStreamCredit
-	}
-	shardCap := opts.ShardQueueCap
-	if shardCap <= 0 {
-		shardCap = DefaultShardQueueCap
-	}
-	pool := effectivePool(opts.BufPool, opts.DisableBufPool)
-	pool.Register(opts.Metrics)
-
-	nRecv := opts.Cfg.Count(runtime.Receive)
-	if nRecv < 1 {
-		return fmt.Errorf("pipeline: receiver config has no receive threads")
-	}
-	decGroup, hasDec := opts.Cfg.Group(runtime.Decompress)
-	recvGroup, _ := opts.Cfg.Group(runtime.Receive)
-	recvPin, err := pinFor(opts.Topo, recvGroup.Placement)
-	if err != nil {
-		return err
-	}
-
-	var pull *msgq.Pull
-	if opts.Listener != nil {
-		pull = msgq.NewPullFromListener(opts.Listener)
-	} else {
-		pull, err = msgq.NewPull(opts.Bind)
-		if err != nil {
-			return err
-		}
-	}
-	defer pull.Close()
-	pull.SetLabel(opts.Cfg.Node)
-	pull.SetCounters(opts.Metrics)
-	if pool != nil {
-		pull.SetBufferPool(pool, recvPin.DomainFor(0))
-	}
-
-	adm := NewAdmission(opts.Metrics, opts.MaxStreams)
-	gate := newCreditGate(opts.Metrics, credit)
-	// Dispatch runs on each connection's read goroutine: peek the
-	// header, admit, take credit, route by stream hash. A frame that
-	// cannot carry a header (wrong shape) passes through uncredited and
-	// is quarantined by a receive worker — the credited predicate here
-	// and in the worker must match exactly: len(Msg) == 2 and a
-	// decodable header.
-	pull.SetDispatch(shards, shardCap, func(d *msgq.Delivery) (int, bool) {
-		if len(d.Msg) != 2 {
-			return 0, true
-		}
-		c, _, err := decodeHeader(d.Msg[0])
-		if err != nil {
-			return 0, true
-		}
-		if !adm.Admit(c.Stream) {
-			return 0, false
-		}
-		if gate.acquire(c.Stream) != nil {
-			return 0, false // tearing down
-		}
-		return ShardHash(c.Stream, shards), true
-	})
-	for i := 0; i < shards; i++ {
-		i := i
-		opts.Metrics.RegisterGauge(fmt.Sprintf("shard_%d_depth", i),
-			func() float64 { return float64(pull.ShardDepth(i)) })
-	}
-	if opts.Ready != nil {
-		opts.Ready <- pull.Addr().String()
-	}
-
-	tracer := newOpTracer(opts.Tracer, opts.Cfg.Node)
-	journeys := newJourneyRecorder(opts.Metrics, tracer)
-	var decQ *queue.Queue[Chunk]
-	if hasDec && decGroup.Count > 0 {
-		decQ = queue.New[Chunk](opts.QueueCap)
-		watchQueue(opts.Metrics, "decq", decQ)
-	}
-
-	quarantinedCtr := opts.Metrics.Counter(CtrQuarantined)
-	gapCtr := opts.Metrics.Counter(CtrSeqGaps)
-	lateCtr := opts.Metrics.Counter(CtrSeqLate)
-	ledger := opts.Ledger
-	if ledger == nil && opts.ExactlyOnce {
-		ledger = NewLedger(opts.Metrics, 0)
-	}
-
-	// Accounting: atomics, not a shared mutex — delivery is distributed
-	// across per-stream lanes and a thousand of them must not serialize.
-	var delivered, quarantined atomic.Int64
-	done := make(chan struct{})
-	var doneOnce sync.Once
-	markDone := func() { doneOnce.Do(func() { close(done) }) }
-	accounted := func() int64 { return delivered.Load() + quarantined.Load() }
-	var laneErrOnce sync.Once
-	var laneErr error
-
-	failStop := func(err error) error {
-		if err != nil {
-			markDone()
-			if decQ != nil {
-				decQ.Close()
-			}
-		}
-		return err
-	}
-	// quarantine disposes of an undeliverable chunk; credited says
-	// whether dispatch charged the stream's credit for it (decodable
-	// header), which must be given back on every disposal path.
-	quarantine := func(cause error, credited bool, stream uint32) error {
-		if credited {
-			gate.release(stream)
-		}
-		if opts.FailHard {
-			return failStop(cause)
-		}
-		quarantinedCtr.Inc()
-		bad := quarantined.Add(1)
-		if opts.MaxBadChunks > 0 && bad > int64(opts.MaxBadChunks) {
-			return failStop(fmt.Errorf("pipeline: %d chunks quarantined exceeds MaxBadChunks %d; last cause: %w",
-				bad, opts.MaxBadChunks, cause))
-		}
-		if opts.Expect > 0 && accounted() >= int64(opts.Expect) {
-			markDone()
-		}
-		return nil
-	}
-
-	// The per-stream delivery lane: ledger admission, Sink, sequence and
-	// throughput accounting, credit release — all single-threaded per
-	// stream, so none of it needs the legacy path's global sink lock.
-	lanes := newLaneSet(credit, func(stream uint32, q *queue.Queue[Chunk]) {
-		meter := opts.Metrics.StreamMeter("delivered", stream)
-		var next uint64
-		tracked := false
-		aborted := false
-		for {
-			c, err := q.Get()
-			if err != nil {
-				return // lane closed and drained
-			}
-			dispose := func() {
-				c.lease.Release()
-				c.frame.Release()
-				gate.release(stream)
-			}
-			if aborted {
-				dispose()
-				continue
-			}
-			if opts.Expect > 0 && accounted() >= int64(opts.Expect) {
-				dispose()
-				continue
-			}
-			if ledger != nil && !ledger.Admit(c.Stream, c.Seq) {
-				dispose() // duplicate: counted by the ledger, dropped
-				continue
-			}
-			if opts.Sink != nil {
-				if err := opts.Sink(c); err != nil {
-					laneErrOnce.Do(func() { laneErr = err })
-					failStop(err)
-					aborted = true // keep draining to hand credits back
-					dispose()
-					continue
-				}
-			}
-			delivered.Add(1)
-			meter.Add(len(c.Data))
-			switch {
-			case !tracked && c.Seq == 0, tracked && c.Seq == next:
-				next, tracked = c.Seq+1, true
-			case !tracked || c.Seq > next:
-				if tracked {
-					gapCtr.Add(int64(c.Seq - next))
-				} else {
-					gapCtr.Add(int64(c.Seq))
-				}
-				next, tracked = c.Seq+1, true
-			default:
-				lateCtr.Inc()
-			}
-			if opts.Expect > 0 && accounted() >= int64(opts.Expect) {
-				markDone()
-			}
-			journeys.finish(c.journey, trace.NowNanos())
-			dispose()
-		}
-	})
-
-	if opts.Stop != nil {
-		go func() {
-			<-opts.Stop
-			markDone()
-		}()
-	}
-
-	// toLane hands a decoded, verified chunk to its delivery lane. The
-	// set only refuses after closeAll, which runs after every producer
-	// pool has exited — treat a refusal as a drop with full cleanup so
-	// nothing leaks even if that ordering ever changes.
-	toLane := func(c Chunk) {
-		if !lanes.enqueue(c) {
-			c.lease.Release()
-			c.frame.Release()
-			gate.release(c.Stream)
-		}
-	}
-
-	var pools []*Pool
-	{
-		obs := newStageObserver(opts.Metrics, tracer, "receive")
-		recv := StartPool(PoolConfig{
-			Name: "receive", Workers: nRecv, Pin: recvPin, Topo: opts.Topo,
-			OnDrained: func() {
-				if decQ != nil {
-					decQ.Close()
-				}
-			},
-		}, func(w *Worker) error {
-			worker := w.ID()
-			cur := msgq.NewShardCursor(worker)
-			for {
-				if w.Retiring() {
-					return nil
-				}
-				d, err := pull.RecvSharded(cur)
-				if err == msgq.ErrClosed {
-					return nil
-				}
-				if err != nil {
-					return failStop(err)
-				}
-				msg := d.Msg
-				t0 := time.Now()
-				if len(msg) != 2 {
-					d.Frame.Release()
-					if err := quarantine(fmt.Errorf("pipeline: message with %d parts", len(msg)), false, 0); err != nil {
-						return err
-					}
-					continue
-				}
-				c, wantCRC, err := decodeHeader(msg[0])
-				if err != nil {
-					d.Frame.Release()
-					if err := quarantine(err, false, 0); err != nil {
-						return err
-					}
-					continue
-				}
-				if sum := crc32.Checksum(msg[1], crcTable); sum != wantCRC {
-					d.Frame.Release()
-					if err := quarantine(fmt.Errorf("pipeline: chunk %d payload CRC %08x, want %08x", c.Seq, sum, wantCRC), true, c.Stream); err != nil {
-						return err
-					}
-					continue
-				}
-				c.Data = msg[1]
-				c.frame = d.Frame
-				c.Peer = d.Peer
-				if len(d.Aux) > 0 {
-					if wc, err := decodeWireCtx(d.Aux); err != nil || wc.Seq != c.Seq || wc.Stream != c.Stream {
-						journeys.badCtx.Inc()
-					} else {
-						c.journey = &chunkJourney{
-							ctx:         wc,
-							recvNanos:   d.RecvNanos,
-							offset:      d.ClockOffset,
-							offsetValid: d.OffsetValid,
-							peer:        d.Peer,
-						}
-					}
-				}
-				if c.journey != nil {
-					obs.doneFlow(worker, t0, len(c.Data), c.Seq, flowID(c.Stream, c.Seq))
-				} else {
-					obs.done(worker, t0, len(c.Data), c.Seq)
-				}
-				if decQ != nil {
-					c.enqAt = time.Now()
-					if err := decQ.Put(c); err != nil {
-						c.frame.Release()
-						gate.release(c.Stream)
-						return nil
-					}
-					continue
-				}
-				toLane(c)
-			}
-		})
-		pools = append(pools, recv)
-		opts.Controls.attach("receive", recv, opts.Metrics)
-	}
-
-	if decQ != nil {
-		pin, err := pinFor(opts.Topo, decGroup.Placement)
-		if err != nil {
-			return err
-		}
-		obs := newStageObserver(opts.Metrics, tracer, "decompress")
-		dec := StartPool(PoolConfig{
-			Name: "decompress", Workers: decGroup.Count, Pin: pin, Topo: opts.Topo,
-		}, func(w *Worker) error {
-			worker, dom := w.ID(), w.Domain()
-			for {
-				if w.Retiring() {
-					return nil
-				}
-				c, err := decQ.Get()
-				if err == queue.ErrClosed {
-					return nil
-				}
-				if err != nil {
-					return err
-				}
-				obs.dequeued(c, worker)
-				t0 := time.Now()
-				if c.Packed {
-					var raw []byte
-					if pool != nil {
-						lease := pool.Get(dom, c.RawLen)
-						n, derr := lz4.DecompressBlock(c.Data, lease.Bytes())
-						if derr == nil && n != c.RawLen {
-							derr = fmt.Errorf("lz4: decompressed %d bytes, want %d", n, c.RawLen)
-						}
-						if derr != nil {
-							lease.Release()
-							c.frame.Release()
-							if err := quarantine(fmt.Errorf("decompressing chunk %d: %w", c.Seq, derr), true, c.Stream); err != nil {
-								return err
-							}
-							continue
-						}
-						c.lease = lease
-						raw = lease.Bytes()
-					} else {
-						var derr error
-						raw, derr = lz4.Decompress(c.Data, c.RawLen)
-						if derr != nil {
-							c.frame.Release()
-							if err := quarantine(fmt.Errorf("decompressing chunk %d: %w", c.Seq, derr), true, c.Stream); err != nil {
-								return err
-							}
-							continue
-						}
-					}
-					c.frame.Release()
-					c.frame = nil
-					c.Data = raw
-					c.Packed = false
-				}
-				obs.done(worker, t0, c.RawLen, c.Seq)
-				toLane(c)
-			}
-		})
-		pools = append(pools, dec)
-		opts.Controls.attach("decompress", dec, opts.Metrics)
-	}
-
-	// Teardown: the gate unblocks first (dispatchers parked on credit
-	// must fail out before the transport can drain its read loops), then
-	// the transport; lanes close only after every producer has exited.
-	go func() {
-		<-done
-		gate.close()
-		pull.Close()
-	}()
-
-	var firstErr error
-	for _, p := range pools {
-		if err := p.Wait(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	lanes.closeAll()
-	if firstErr == nil {
-		firstErr = laneErr
-	}
-	if firstErr != nil {
-		return firstErr
-	}
-	if opts.Expect > 0 && accounted() < int64(opts.Expect) {
-		return fmt.Errorf("pipeline: accounted for %d of %d expected chunks (%d delivered, %d quarantined)",
-			accounted(), opts.Expect, delivered.Load(), quarantined.Load())
-	}
-	return nil
 }

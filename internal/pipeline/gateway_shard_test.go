@@ -309,23 +309,27 @@ func TestShardedGatewayAdmissionLimit(t *testing.T) {
 // still deliver its full share while the victim is stalled, and the
 // victim's backlog must be absorbed by its own credit window — its
 // transport connection blocks — not by the shared shard queues, which
-// must drain to empty.
+// must drain to empty. Shards 0 is the default receiver (one shard).
 func TestShardedGatewayFairBackpressure(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			testFairBackpressure(t, seed)
+			for _, shards := range []int{0, 1, 4} {
+				shards := shards
+				t.Run(fmt.Sprintf("shards%d", shards), func(t *testing.T) {
+					testFairBackpressure(t, seed, shards)
+				})
+			}
 		})
 	}
 }
 
-func testFairBackpressure(t *testing.T, seed int64) {
+func testFairBackpressure(t *testing.T, seed int64, shards int) {
 	const (
 		streams   = 5
 		perStream = 30
 		chunkSize = 4 << 10
 		credit    = 4
-		shards    = 4
 	)
 	rng := rand.New(rand.NewSource(seed))
 	victim := uint32(rng.Intn(streams))
@@ -420,7 +424,7 @@ func testFairBackpressure(t *testing.T, seed int64) {
 	quiet := time.Now().Add(5 * time.Second)
 	for {
 		depths := 0.0
-		for i := 0; i < shards; i++ {
+		for i := 0; i < max(shards, 1); i++ {
 			depths += gaugeValue(t, reg, fmt.Sprintf("shard_%d_depth", i))
 		}
 		blocked := gaugeValue(t, reg, GaugeCreditBlocked)
@@ -468,4 +472,128 @@ func deliveredByStream(l *Ledger, streams int) string {
 		fmt.Fprintf(&b, "s%d=%d ", s, l.DeliveredStream(s))
 	}
 	return strings.TrimSpace(b.String())
+}
+
+// TestReceiverSinkCalledAtMostExpect: several streams race their lanes
+// toward the Expect count with a slow Sink; the Sink must run exactly
+// Expect times — a lane claims its delivery slot before the call, so
+// concurrent lanes cannot all pass a "not yet Expect" check and then
+// overshoot it.
+func TestReceiverSinkCalledAtMostExpect(t *testing.T) {
+	for _, shards := range []int{0, 2} {
+		shards := shards
+		t.Run(fmt.Sprintf("shards%d", shards), func(t *testing.T) {
+			const (
+				streams   = 4
+				perStream = 10
+				expect    = 10
+			)
+			topo := testTopo()
+			var calls atomic.Int64
+			ready := make(chan string, 1)
+			recvDone := make(chan error, 1)
+			go func() {
+				recvDone <- RunReceiver(ReceiverOptions{
+					Cfg:    receiverCfg(2, 2),
+					Topo:   topo,
+					Bind:   "127.0.0.1:0",
+					Expect: expect,
+					Ready:  ready,
+					Shards: shards,
+					Sink: func(c Chunk) error {
+						calls.Add(1)
+						time.Sleep(2 * time.Millisecond)
+						return nil
+					},
+				})
+			}()
+			addr := <-ready
+
+			payload := bytes.Repeat([]byte("expect-cap-"), 4<<10/11+1)[:4<<10]
+			senders := make(chan error, streams)
+			for s := uint32(0); s < streams; s++ {
+				go func(stream uint32) {
+					i := 0
+					// The receiver stops reading after Expect chunks, so
+					// the surplus sends fail within the horizon.
+					senders <- RunSender(SenderOptions{
+						Cfg:         senderCfg(1, 1),
+						Topo:        topo,
+						Peers:       []string{addr},
+						StreamID:    stream,
+						SendHorizon: 2 * time.Second,
+						Source: func() []byte {
+							if i >= perStream {
+								return nil
+							}
+							i++
+							return payload
+						},
+					})
+				}(s)
+			}
+			select {
+			case err := <-recvDone:
+				if err != nil {
+					t.Fatalf("receiver: %v", err)
+				}
+			case <-time.After(15 * time.Second):
+				t.Fatal("receiver did not finish")
+			}
+			if got := calls.Load(); got != expect {
+				t.Fatalf("Sink called %d times, want exactly Expect = %d", got, expect)
+			}
+			for s := 0; s < streams; s++ {
+				<-senders // outcome irrelevant: the surplus has nowhere to go
+			}
+		})
+	}
+}
+
+// TestSeqWindowCountsHolesNotReorders: reordered arrivals are late, not
+// gaps; a sequence number never delivered counts once, either when the
+// stream runs seqSpan past it or when the stream ends.
+func TestSeqWindowCountsHolesNotReorders(t *testing.T) {
+	var w seqWindow
+	var gaps, late int64
+	deliver := func(seqs ...uint64) {
+		for _, s := range seqs {
+			g, l := w.deliver(s)
+			gaps += g
+			if l {
+				late++
+			}
+		}
+	}
+	// A failover's new connection overtakes the old one's backlog, and
+	// seq 9 is lost for good.
+	deliver(0, 1, 2, 5, 6, 7, 3, 4, 8, 10, 11, 4)
+	if gaps != 0 || late != 3 {
+		t.Fatalf("after reorder: gaps %d late %d, want 0 and 3", gaps, late)
+	}
+	if g := w.slide(w.hw); g != 1 {
+		t.Fatalf("end of stream counted %d gaps, want 1 (seq 9)", g)
+	}
+
+	// A hole the stream runs seqSpan past counts without waiting for
+	// the end; a chunk arriving after that is late, not a second gap.
+	w, gaps, late = seqWindow{}, 0, 0
+	for s := uint64(1); s <= seqSpan; s++ {
+		deliver(s)
+	}
+	if gaps != 1 {
+		t.Fatalf("hole 0 with the stream %d ahead: %d gaps, want 1", seqSpan, gaps)
+	}
+	deliver(0)
+	if gaps != 1 || late != 1 {
+		t.Fatalf("seq 0 after its gap was counted: gaps %d late %d, want 1 and 1", gaps, late)
+	}
+
+	// A stream first seen far past zero: everything below is missing,
+	// counted in one step rather than one slot at a time.
+	w, gaps, late = seqWindow{}, 0, 0
+	deliver(1 << 40)
+	if g := w.slide(w.hw); gaps+g != 1<<40 {
+		t.Fatalf("first seq 1<<40 counted %d gaps, want %d", gaps+g, int64(1)<<40)
+	}
 }

@@ -6,6 +6,7 @@ import (
 	"hash/crc32"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"numastream/internal/bufpool"
@@ -204,6 +205,25 @@ func encodeHeader(c Chunk, crc uint32) []byte {
 	var h [headerLen]byte
 	encodeHeaderInto(&h, c, crc)
 	return h[:]
+}
+
+// decodeFrame checks a received message's shape, header and payload
+// CRC, returning the chunk with Data set. credited reports whether the
+// frame carried a decodable header — the receiver's dispatch takes
+// stream credit for exactly those frames.
+func decodeFrame(msg msgq.Message) (c Chunk, credited bool, err error) {
+	if len(msg) != 2 {
+		return Chunk{}, false, fmt.Errorf("pipeline: message with %d parts", len(msg))
+	}
+	c, wantCRC, err := decodeHeader(msg[0])
+	if err != nil {
+		return Chunk{}, false, err
+	}
+	if sum := crc32.Checksum(msg[1], crcTable); sum != wantCRC {
+		return c, true, fmt.Errorf("pipeline: chunk %d payload CRC %08x, want %08x", c.Seq, sum, wantCRC)
+	}
+	c.Data = msg[1]
+	return c, true, nil
 }
 
 func decodeHeader(h []byte) (Chunk, uint32, error) {
@@ -607,8 +627,10 @@ type ReceiverOptions struct {
 	// Stop, when non-nil, ends an open-ended receiver: intake closes,
 	// in-flight chunks drain, RunReceiver returns.
 	Stop <-chan struct{}
-	// Sink receives each delivered (decompressed) chunk. It is called
-	// from multiple workers; nil discards.
+	// Sink receives each delivered (decompressed) chunk; nil discards.
+	// Calls for one stream are serialized on that stream's delivery
+	// lane; different streams' calls run concurrently. With Expect set,
+	// the Sink is called at most Expect times.
 	Sink func(Chunk) error
 	// Metrics, when non-nil, receives "receive" and "decompress"
 	// meters plus the failure counters (CtrQuarantined, CtrSeqGaps,
@@ -656,25 +678,19 @@ type ReceiverOptions struct {
 	// Data freely, as before PR 5.
 	DisableBufPool bool
 
-	// Shards switches the receiver to the sharded gateway path (see
-	// gateway.go): per-shard receive queues keyed by stream hash,
-	// admission control and per-stream credit backpressure, with
-	// delivery on per-stream lanes. 0 keeps the legacy single fan-in
-	// exactly as before; > 0 is an explicit shard count; ShardsAuto
-	// aligns it with the host's NUMA domains.
+	// Shards is the number of receive shards (see gateway.go): per-shard
+	// receive queues keyed by stream hash, drained by every receive
+	// worker. 0 means one shard; > 0 is an explicit shard count;
+	// ShardsAuto aligns it with the host's NUMA domains.
 	Shards int
-	// ShardQueueCap is the per-shard ring depth (sharded path only;
-	// default DefaultShardQueueCap).
-	ShardQueueCap int
 	// MaxStreams is the admission limit: at most this many distinct
 	// streams are ever admitted; later streams are rejected at dispatch
 	// and counted (CtrStreamsRejected, CtrChunksRejected). 0 means
-	// unlimited. Sharded path only.
+	// unlimited.
 	MaxStreams int
 	// StreamCredit is each stream's in-flight chunk window past
 	// dispatch (default DefaultStreamCredit). A stream at its limit
 	// blocks only its own connection — per-stream backpressure.
-	// Sharded path only.
 	StreamCredit int
 	// Controls, when non-nil, receives this run's stage pools so the
 	// adaptive placement controller can Grow/Shrink/re-pin them live.
@@ -687,9 +703,10 @@ const (
 	// malformed message shape, undecodable header, payload CRC
 	// mismatch, or decompression failure.
 	CtrQuarantined = "chunks_quarantined"
-	// CtrSeqGaps counts sequence numbers skipped between consecutive
-	// delivered chunks of a stream — chunks lost or quarantined
-	// upstream of delivery.
+	// CtrSeqGaps counts sequence numbers a stream never delivered —
+	// chunks lost or quarantined upstream of delivery. A missing
+	// sequence number counts once the stream has moved 1024 past it or
+	// the receiver stops, so a reordered chunk is late, not a gap.
 	CtrSeqGaps = "seq_gaps"
 	// CtrSeqLate counts chunks that arrived with a sequence number
 	// below the stream's high-water mark (reordered or duplicated).
@@ -701,12 +718,11 @@ const (
 	CtrRelayFailovers = "relay_failovers"
 )
 
-// RunReceiver accepts chunks until Expect have been delivered, then
-// returns.
+// RunReceiver accepts chunks until Expect have been accounted for (or
+// Stop closes), then returns. It is the gateway of Figure 13: the
+// shard, admission, credit and delivery-lane mechanisms are described
+// in gateway.go.
 func RunReceiver(opts ReceiverOptions) error {
-	if opts.Shards != 0 {
-		return runShardedReceiver(opts)
-	}
 	if err := opts.Cfg.Validate(len(opts.Topo.Nodes)); err != nil {
 		return err
 	}
@@ -721,6 +737,11 @@ func RunReceiver(opts ReceiverOptions) error {
 	}
 	if opts.Metrics == nil {
 		opts.Metrics = metrics.NewRegistry()
+	}
+	shards := resolveShards(opts)
+	credit := opts.StreamCredit
+	if credit <= 0 {
+		credit = DefaultStreamCredit
 	}
 	pool := effectivePool(opts.BufPool, opts.DisableBufPool)
 	pool.Register(opts.Metrics)
@@ -740,7 +761,6 @@ func RunReceiver(opts ReceiverOptions) error {
 	if opts.Listener != nil {
 		pull = msgq.NewPullFromListener(opts.Listener)
 	} else {
-		var err error
 		pull, err = msgq.NewPull(opts.Bind)
 		if err != nil {
 			return err
@@ -754,6 +774,36 @@ func RunReceiver(opts ReceiverOptions) error {
 		// domain: the read loop does the first touch, but the pages are
 		// recycled within the domain that consumes them.
 		pull.SetBufferPool(pool, recvPin.DomainFor(0))
+	}
+
+	adm := NewAdmission(opts.Metrics, opts.MaxStreams)
+	gate := newCreditGate(opts.Metrics, credit)
+	// Dispatch runs on each connection's read goroutine: peek the
+	// header, admit, take credit, route by stream hash. A frame that
+	// cannot carry a header (wrong shape) passes through uncredited and
+	// is quarantined by a receive worker — the credited predicate here
+	// and in the worker must match exactly: len(Msg) == 2 and a
+	// decodable header.
+	pull.SetDispatch(shards, shardQueueCap, func(d *msgq.Delivery) (int, bool) {
+		if len(d.Msg) != 2 {
+			return 0, true
+		}
+		c, _, err := decodeHeader(d.Msg[0])
+		if err != nil {
+			return 0, true
+		}
+		if !adm.Admit(c.Stream) {
+			return 0, false
+		}
+		if gate.acquire(c.Stream) != nil {
+			return 0, false // tearing down
+		}
+		return ShardHash(c.Stream, shards), true
+	})
+	for i := 0; i < shards; i++ {
+		i := i
+		opts.Metrics.RegisterGauge(fmt.Sprintf("shard_%d_depth", i),
+			func() float64 { return float64(pull.ShardDepth(i)) })
 	}
 	if opts.Ready != nil {
 		opts.Ready <- pull.Addr().String()
@@ -775,79 +825,38 @@ func RunReceiver(opts ReceiverOptions) error {
 		ledger = NewLedger(opts.Metrics, 0)
 	}
 
-	// Accounting, guarded by sinkMu. A chunk is accounted once it is
-	// either delivered or quarantined; with Expect set, the receiver is
-	// done when Expect chunks are accounted — a quarantined chunk must
-	// not leave the node waiting forever for a delivery that can never
-	// happen.
-	var sinkMu sync.Mutex
-	delivered := 0
-	quarantined := 0
-	nextSeq := make(map[uint32]uint64) // per-stream next expected sequence
-	// Per-stream delivered meters, the health scoreboard's throughput
-	// series ("delivered_stream_<id>", folded past the registry's
-	// stream cap). Cached here because building the name costs an
-	// allocation the per-chunk path must not pay; the map is guarded by
-	// sinkMu like the rest of the delivery accounting.
-	streamMeters := make(map[uint32]*metrics.Meter)
+	// Accounting: atomics, not a shared mutex — delivery is distributed
+	// across per-stream lanes and a thousand of them must not serialize.
+	// With Expect set, every delivery and every quarantine claims one of
+	// Expect's slots; a delivery claims its slot before the Sink runs, so
+	// concurrent lanes can never call the Sink more than Expect times,
+	// and a quarantined chunk cannot leave the node waiting for a
+	// delivery that will never happen.
+	var claimed, quarantined atomic.Int64
 	done := make(chan struct{})
 	var doneOnce sync.Once
 	markDone := func() { doneOnce.Do(func() { close(done) }) }
-	deliver := func(c Chunk) error {
-		sinkMu.Lock()
-		defer sinkMu.Unlock()
-		if opts.Expect > 0 && delivered+quarantined >= opts.Expect {
-			return nil
+	expectMet := func() bool { return opts.Expect > 0 && claimed.Load() >= int64(opts.Expect) }
+	claim := func() bool {
+		if opts.Expect <= 0 {
+			return true
 		}
-		// Exactly-once gate: a repeat of an already-delivered (stream,
-		// seq) is dropped before the sink and counted by the ledger. It
-		// does not advance Expect or the seq-gap accounting — as far as
-		// delivery is concerned it never happened.
-		if ledger != nil && !ledger.Admit(c.Stream, c.Seq) {
-			return nil
-		}
-		if opts.Sink != nil {
-			if err := opts.Sink(c); err != nil {
-				return err
+		for {
+			n := claimed.Load()
+			if n >= int64(opts.Expect) {
+				return false
+			}
+			if claimed.CompareAndSwap(n, n+1) {
+				if n+1 == int64(opts.Expect) {
+					markDone()
+				}
+				return true
 			}
 		}
-		delivered++
-		sm := streamMeters[c.Stream]
-		if sm == nil {
-			sm = opts.Metrics.StreamMeter("delivered", c.Stream)
-			streamMeters[c.Stream] = sm
-		}
-		sm.Add(len(c.Data))
-		// Sequence-gap accounting: a jump past the stream's expected
-		// sequence means chunks were lost or quarantined on the way; a
-		// regression is a late (reordered/duplicate) arrival. With
-		// several decompress workers minor reordering shows up as
-		// late counts, not data loss.
-		next, tracked := nextSeq[c.Stream]
-		switch {
-		case !tracked && c.Seq == 0, tracked && c.Seq == next:
-			nextSeq[c.Stream] = c.Seq + 1
-		case !tracked || c.Seq > next:
-			if tracked {
-				gapCtr.Add(int64(c.Seq - next))
-			} else {
-				gapCtr.Add(int64(c.Seq))
-			}
-			nextSeq[c.Stream] = c.Seq + 1
-		default:
-			lateCtr.Inc()
-		}
-		if opts.Expect > 0 && delivered+quarantined == opts.Expect {
-			markDone()
-		}
-		return nil
 	}
-	if opts.Stop != nil {
-		go func() {
-			<-opts.Stop
-			markDone()
-		}()
-	}
+	var laneErrOnce sync.Once
+	var laneErr error
+
 	// A failing worker must stop the intake too, or healthy workers
 	// would wait forever on a stream that can no longer complete. It must
 	// also close decQ: pull.Close only wakes workers blocked in Recv, so
@@ -866,32 +875,98 @@ func RunReceiver(opts ReceiverOptions) error {
 		}
 		return err
 	}
-	// quarantine disposes of a chunk that cannot be delivered. The
+	// quarantine disposes of an undeliverable chunk; credited says
+	// whether dispatch charged the stream's credit for it (decodable
+	// header), which must be given back on every disposal path. The
 	// returned error is nil in quarantine mode (count and continue) and
 	// the original cause under FailHard or past the MaxBadChunks
 	// threshold, in which case the node aborts.
-	quarantine := func(cause error) error {
+	quarantine := func(cause error, credited bool, stream uint32) error {
+		if credited {
+			gate.release(stream)
+		}
 		if opts.FailHard {
 			return failStop(cause)
 		}
 		quarantinedCtr.Inc()
-		sinkMu.Lock()
-		quarantined++
-		bad := quarantined
-		accounted := delivered + quarantined
-		sinkMu.Unlock()
-		if opts.MaxBadChunks > 0 && bad > opts.MaxBadChunks {
+		bad := quarantined.Add(1)
+		if opts.MaxBadChunks > 0 && bad > int64(opts.MaxBadChunks) {
 			return failStop(fmt.Errorf("pipeline: %d chunks quarantined exceeds MaxBadChunks %d; last cause: %w",
 				bad, opts.MaxBadChunks, cause))
 		}
-		if opts.Expect > 0 && accounted >= opts.Expect {
+		if opts.Expect > 0 && claimed.Add(1) >= int64(opts.Expect) {
 			markDone()
 		}
 		return nil
 	}
 
-	var pools []*Pool
+	// The per-stream delivery lane: ledger admission, Expect slot, Sink,
+	// sequence and throughput accounting, credit release — all
+	// single-threaded per stream, so none of it needs a global lock.
+	lanes := newLaneSet(credit, func(stream uint32, q *queue.Queue[Chunk]) {
+		meter := opts.Metrics.StreamMeter("delivered", stream)
+		var seqs seqWindow
+		aborted := false
+		for {
+			c, err := q.Get()
+			if err != nil {
+				// Lane closed and drained: the stream's remaining holes
+				// are gaps for good.
+				gapCtr.Add(seqs.slide(seqs.hw))
+				return
+			}
+			// A duplicate is counted by the ledger and dropped without
+			// taking a slot; so is everything past Expect, or after a
+			// Sink error (the lane keeps draining to hand credits back).
+			if !aborted && !expectMet() && (ledger == nil || ledger.Admit(c.Stream, c.Seq)) && claim() {
+				if opts.Sink != nil {
+					if err := opts.Sink(c); err != nil {
+						laneErrOnce.Do(func() { laneErr = err })
+						failStop(err)
+						aborted = true
+					}
+				}
+				if !aborted {
+					meter.Add(len(c.Data))
+					gaps, late := seqs.deliver(c.Seq)
+					if gaps > 0 {
+						gapCtr.Add(gaps)
+					}
+					if late {
+						lateCtr.Inc()
+					}
+					journeys.finish(c.journey, trace.NowNanos())
+				}
+			}
+			// The Sink has returned (and copied anything it keeps): the
+			// decompressed lease — and, for chunks that traveled raw, the
+			// wire frame still backing Data — go home.
+			c.lease.Release()
+			c.frame.Release()
+			gate.release(stream)
+		}
+	})
 
+	if opts.Stop != nil {
+		go func() {
+			<-opts.Stop
+			markDone()
+		}()
+	}
+
+	// toLane hands a decoded, verified chunk to its delivery lane. The
+	// set only refuses after closeAll, which runs after every producer
+	// pool has exited — treat a refusal as a drop with full cleanup so
+	// nothing leaks even if that ordering ever changes.
+	toLane := func(c Chunk) {
+		if !lanes.enqueue(c) {
+			c.lease.Release()
+			c.frame.Release()
+			gate.release(c.Stream)
+		}
+	}
+
+	var pools []*Pool
 	{
 		obs := newStageObserver(opts.Metrics, tracer, "receive")
 		recv := StartPool(PoolConfig{
@@ -905,47 +980,32 @@ func RunReceiver(opts ReceiverOptions) error {
 			},
 		}, func(w *Worker) error {
 			worker := w.ID()
+			cur := msgq.NewShardCursor(worker)
 			for {
 				if w.Retiring() {
 					return nil
 				}
-				d, err := pull.RecvDelivery()
+				d, err := pull.RecvSharded(cur)
 				if err == msgq.ErrClosed {
 					return nil
 				}
 				if err != nil {
 					return failStop(err)
 				}
-				msg := d.Msg
 				t0 := time.Now()
 				// Every exit from this iteration must release d.Frame
 				// exactly once (nil-safe on the unpooled path): on
 				// quarantine it is released here; once it becomes
 				// c.frame, the stage that finishes with the payload
 				// releases it.
-				if len(msg) != 2 {
-					d.Frame.Release()
-					if err := quarantine(fmt.Errorf("pipeline: message with %d parts", len(msg))); err != nil {
-						return err
-					}
-					continue
-				}
-				c, wantCRC, err := decodeHeader(msg[0])
+				c, credited, err := decodeFrame(d.Msg)
 				if err != nil {
 					d.Frame.Release()
-					if err := quarantine(err); err != nil {
+					if err := quarantine(err, credited, c.Stream); err != nil {
 						return err
 					}
 					continue
 				}
-				if sum := crc32.Checksum(msg[1], crcTable); sum != wantCRC {
-					d.Frame.Release()
-					if err := quarantine(fmt.Errorf("pipeline: chunk %d payload CRC %08x, want %08x", c.Seq, sum, wantCRC)); err != nil {
-						return err
-					}
-					continue
-				}
-				c.Data = msg[1]
 				c.frame = d.Frame
 				c.Peer = d.Peer
 				// A wire trace context is advisory: a frame whose aux
@@ -973,18 +1033,12 @@ func RunReceiver(opts ReceiverOptions) error {
 					c.enqAt = time.Now()
 					if err := decQ.Put(c); err != nil {
 						c.frame.Release() // decompress stage gone
+						gate.release(c.Stream)
 						return nil
 					}
 					continue
 				}
-				if err := deliver(c); err != nil {
-					c.frame.Release()
-					return failStop(err)
-				}
-				journeys.finish(c.journey, trace.NowNanos())
-				// Delivered straight from the wire: the sink has copied
-				// what it wants, the frame can go home.
-				c.frame.Release()
+				toLane(c)
 			}
 		})
 		pools = append(pools, recv)
@@ -1015,72 +1069,45 @@ func RunReceiver(opts ReceiverOptions) error {
 				obs.dequeued(c, worker)
 				t0 := time.Now()
 				if c.Packed {
-					// Pooled mode decompresses into a rented buffer on
-					// this worker's domain — the paper's split-domain
-					// placement (Obs. 3) decompresses on the far domain,
-					// and the output pages should live there, not where
-					// the wire frame landed.
-					var raw []byte
-					if pool != nil {
-						lease := pool.Get(dom, c.RawLen)
-						n, derr := lz4.DecompressBlock(c.Data, lease.Bytes())
-						if derr == nil && n != c.RawLen {
-							derr = fmt.Errorf("lz4: decompressed %d bytes, want %d", n, c.RawLen)
-						}
-						if derr != nil {
-							lease.Release()
-							c.frame.Release()
-							if err := quarantine(fmt.Errorf("decompressing chunk %d: %w", c.Seq, derr)); err != nil {
-								return err
-							}
-							continue
-						}
-						c.lease = lease
-						raw = lease.Bytes()
-					} else {
-						var derr error
-						raw, derr = lz4.Decompress(c.Data, c.RawLen)
-						if derr != nil {
-							c.frame.Release()
-							if err := quarantine(fmt.Errorf("decompressing chunk %d: %w", c.Seq, derr)); err != nil {
-								return err
-							}
-							continue
-						}
+					// Decompress into a buffer rented on this worker's
+					// domain — the paper's split-domain placement (Obs. 3)
+					// decompresses on the far domain, and the output pages
+					// should live there, not where the wire frame landed.
+					// (A nil pool allocates: the -bufpool=off path.)
+					lease := pool.Get(dom, c.RawLen)
+					n, derr := lz4.DecompressBlock(c.Data, lease.Bytes())
+					if derr == nil && n != c.RawLen {
+						derr = fmt.Errorf("lz4: decompressed %d bytes, want %d", n, c.RawLen)
 					}
 					// The wire frame backed only the compressed block;
 					// it is done the moment the block is unpacked.
 					c.frame.Release()
 					c.frame = nil
-					c.Data = raw
-					c.Packed = false
+					if derr != nil {
+						lease.Release()
+						if err := quarantine(fmt.Errorf("decompressing chunk %d: %w", c.Seq, derr), true, c.Stream); err != nil {
+							return err
+						}
+						continue
+					}
+					c.lease, c.Data, c.Packed = lease, lease.Bytes(), false
 				}
 				obs.done(worker, t0, c.RawLen, c.Seq)
-				if err := deliver(c); err != nil {
-					c.lease.Release()
-					c.frame.Release()
-					return failStop(err)
-				}
-				journeys.finish(c.journey, trace.NowNanos())
-				// The sink has returned (and copied anything it keeps):
-				// the decompressed lease — and, for chunks that traveled
-				// raw, the wire frame still backing Data — go home.
-				c.lease.Release()
-				c.frame.Release()
+				toLane(c)
 			}
 		})
 		pools = append(pools, dec)
 		opts.Controls.attach("decompress", dec, opts.Metrics)
 	}
 
-	// Stop the intake once the expected chunks have been accounted for;
-	// this unblocks workers waiting in Recv. Only the pull socket closes
-	// here: the decompress queue stays open so chunks already pulled off
-	// the wire drain through decompress and delivery (graceful drain).
-	// The receive workers close decQ themselves once the last of them
-	// exits (on an abort, failStop closes it immediately instead).
+	// Teardown: the gate unblocks first (dispatchers parked on credit
+	// must fail out before the transport can drain its read loops), then
+	// the transport; chunks already pulled off the wire drain through
+	// decompress and delivery, and lanes close only after every producer
+	// has exited.
 	go func() {
 		<-done
+		gate.close()
 		pull.Close()
 	}()
 
@@ -1090,14 +1117,16 @@ func RunReceiver(opts ReceiverOptions) error {
 			firstErr = err
 		}
 	}
+	lanes.closeAll()
+	if firstErr == nil {
+		firstErr = laneErr
+	}
 	if firstErr != nil {
 		return firstErr
 	}
-	sinkMu.Lock()
-	defer sinkMu.Unlock()
-	if opts.Expect > 0 && delivered+quarantined < opts.Expect {
+	if opts.Expect > 0 && claimed.Load() < int64(opts.Expect) {
 		return fmt.Errorf("pipeline: accounted for %d of %d expected chunks (%d delivered, %d quarantined)",
-			delivered+quarantined, opts.Expect, delivered, quarantined)
+			claimed.Load(), opts.Expect, claimed.Load()-quarantined.Load(), quarantined.Load())
 	}
 	return nil
 }
