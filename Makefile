@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test vet race check bench churn-drill report-drill stream-drill fleet-drill adapt-drill perfbench-check
+.PHONY: build test vet race check bench churn-drill report-drill stream-drill fleet-drill adapt-drill perfbench-check fuzz-lz4
 
 build:
 	$(GO) build ./...
@@ -100,9 +100,20 @@ perfbench-check:
 	cd perfbench && $(PERFBENCH_ENV) $(GO) vet ./...
 	cd perfbench && $(PERFBENCH_ENV) $(GO) test ./...
 
+# Codec fuzzing: each LZ4 fuzz target gets a short run of new inputs
+# beyond its seed corpus (Go fuzzes one target per invocation). The
+# targets check round trips, that corrupt blocks never panic, and that
+# the decoder's fast path agrees with the byte-wise reference decoder.
+FUZZ_LZ4 = FuzzRoundTrip FuzzDecompressNeverPanics FuzzDecompressMatchesReference
+fuzz-lz4:
+	@for t in $(FUZZ_LZ4); do \
+		$(GO) test -run '^$$' -fuzz="^$$t$$" -fuzztime=10s ./internal/lz4 || exit 1; \
+	done
+
 # The single CI entry point: build, vet, tests, race pass, churn drill,
-# report drill, stream drill, fleet drill, adapt drill, perfbench.
-check: build vet test race churn-drill report-drill stream-drill fleet-drill adapt-drill perfbench-check
+# report drill, stream drill, fleet drill, adapt drill, perfbench, codec
+# fuzzing.
+check: build vet test race churn-drill report-drill stream-drill fleet-drill adapt-drill perfbench-check fuzz-lz4
 
 # Human-readable benchmark run over the root suite (the paper figures,
 # the loopback pipeline, queues, LZ4).

@@ -236,8 +236,8 @@ func BenchmarkLZ4Compress(b *testing.B) {
 	}
 }
 
-// BenchmarkLZ4Decompress measures decode speed (the paper's ~3X
-// asymmetry shows up here).
+// BenchmarkLZ4Decompress measures decode speed. The paper's C lz4
+// decodes ~3X faster than it encodes; this pure-Go codec reaches ~2X.
 func BenchmarkLZ4Decompress(b *testing.B) {
 	packed := lz4.Compress(projFrame)
 	dst := make([]byte, len(projFrame))

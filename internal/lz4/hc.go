@@ -1,5 +1,7 @@
 package lz4
 
+import "sync"
+
 // High-compression variant: same block format, better matches. Where
 // CompressBlock keeps a single-candidate hash table (the reference
 // "fast" strategy the paper's runtime uses for line-rate streaming),
@@ -31,13 +33,24 @@ func CompressBlockHC(src, dst []byte, depth int) (int, error) {
 		depth = HCDefaultDepth
 	}
 
-	head := make([]int32, hashSize) // position+1 of most recent occurrence
-	chain := make([]int32, len(src))
+	// Both tables are rented, as CompressBlock's is: at 1 MiB per block
+	// they are 4.46 MB that CodecHC would otherwise allocate per chunk.
+	// chain needs no clearing; every position is inserted before any
+	// chain walk can reach it.
+	head := rentTable(len(src))
+	defer head.release(len(src))
+	base := int(head.base)
+	cp := chainPool.Get().(*[]int32)
+	defer chainPool.Put(cp)
+	if cap(*cp) < len(src) {
+		*cp = make([]int32, len(src))
+	}
+	chain := (*cp)[:len(src)]
 
 	insert := func(i int) {
 		h := hash4(load32(src, i))
-		chain[i] = head[h] - 1 // previous occurrence, -1 terminates
-		head[h] = int32(i + 1)
+		chain[i] = int32(int(head.pos[h]) - base - 1) // previous occurrence; negative terminates
+		head.pos[h] = int32(base + i + 1)
 	}
 
 	sn := len(src) - mfLimit
@@ -56,10 +69,7 @@ func CompressBlockHC(src, dst []byte, depth int) (int, error) {
 		cand := int(chain[si])
 		for tries := 0; cand >= 0 && cand < si && si-cand <= maxOffset && tries < depth; tries++ {
 			if load32(src, cand) == load32(src, si) {
-				l := minMatch
-				for si+l < matchEnd && src[cand+l] == src[si+l] {
-					l++
-				}
+				l := minMatch + matchLen(src, cand+minMatch, si+minMatch, matchEnd)
 				if l > bestLen {
 					bestLen = l
 					bestRef = cand
@@ -98,6 +108,9 @@ func CompressBlockHC(src, dst []byte, depth int) (int, error) {
 
 	return emitLastLiterals(src, dst, anchor, di), nil
 }
+
+// chainPool recycles CompressBlockHC's per-position chain arrays.
+var chainPool = sync.Pool{New: func() any { return new([]int32) }}
 
 // CompressHC is the allocating convenience wrapper around
 // CompressBlockHC.
